@@ -20,7 +20,7 @@ from .model import (BatchEvaluation, HostBatch, HostView, ObjectiveWeights,
                     PlacementEvaluation, RoundScorer, SchedulingProblem,
                     ScheduleViolation, VMRequest, check_schedule,
                     evaluate_candidates, evaluate_schedule,
-                    placement_profit, score_candidates)
+                    placement_profit)
 from .online import OnlineLearningScheduler
 from .policies import (bf_ml_scheduler, bf_overbook_scheduler, bf_scheduler,
                        exact_scheduler, follow_the_load_scheduler,
@@ -40,7 +40,7 @@ __all__ = [
     "PlacementEvaluation", "RoundScorer", "SchedulingProblem",
     "ScheduleViolation",
     "VMRequest", "check_schedule", "evaluate_candidates",
-    "evaluate_schedule", "placement_profit", "score_candidates",
+    "evaluate_schedule", "placement_profit",
     "OnlineLearningScheduler",
     "bf_ml_scheduler", "bf_overbook_scheduler", "bf_scheduler",
     "exact_scheduler",

@@ -25,13 +25,15 @@ constraints (1: one host per VM; 2: capacity).
 Batch scoring
 -------------
 
-:func:`placement_profit` is the *reference* scalar implementation.  The hot
-path of the schedulers is :func:`evaluate_candidates` /
-:func:`score_candidates`, which score one VM against *all* candidate hosts in
-vectorized numpy over a :class:`HostBatch` — an array-shaped, incrementally
-updated snapshot of the host views.  The batch path mirrors the scalar
-arithmetic operation-for-operation so the two agree within 1e-9 (the
-differential tests enforce this).
+:func:`placement_profit` is the *reference* scalar implementation.  Two
+vectorized twins score one VM against *all* candidate hosts of a
+:class:`HostBatch` — an array-shaped, incrementally updated snapshot of the
+host views: :func:`evaluate_candidates` (self-contained, behind
+:func:`~repro.core.bestfit.descending_best_fit`) and
+:meth:`RoundScorer.evaluate` (per-problem lookups hoisted out of the per-VM
+loop, behind :class:`~repro.core.bestfit.SchedulingRound`).  Both agree
+with the scalar reference within 1e-9 on every field (the differential
+tests enforce this).
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ from .sla import SLAContract, rt_for_fulfillment_arrays, weighted_sla
 __all__ = ["ObjectiveWeights", "VMRequest", "HostView", "HostBatch",
            "SchedulingProblem", "PlacementEvaluation", "BatchEvaluation",
            "RoundScorer", "placement_profit", "evaluate_candidates",
-           "score_candidates", "evaluate_schedule", "check_schedule",
-           "ScheduleViolation"]
+           "evaluate_schedule", "check_schedule", "ScheduleViolation"]
 
 
 @dataclass(frozen=True)
@@ -217,12 +218,12 @@ class HostBatch:
     groups computed once), so scoring a VM against ``n`` hosts is a handful
     of length-``n`` numpy operations instead of ``n`` Python calls.
 
-    Mutations go through :meth:`commit` / :meth:`release`, which update the
-    underlying :class:`HostView` and then :meth:`refresh` *only the changed
-    column* — the incremental contract that lets Best-Fit reuse one batch
-    across a whole scheduling round.  (The simulator-side sibling is
-    :class:`repro.sim.fleet.FleetState`, which snapshots a whole
-    (system, trace) pair the same way for batch interval stepping.)
+    Mutations go through :meth:`commit`, which updates the underlying
+    :class:`HostView` and then recomputes *only the changed column*
+    (:meth:`refresh`) — the incremental contract that lets Best-Fit reuse
+    one batch across a whole scheduling round.  (The simulator-side
+    sibling is :class:`repro.sim.fleet.FleetState`, which snapshots a
+    whole (system, trace) pair the same way for batch interval stepping.)
 
     Aggregates deliberately mirror the scalar path's arithmetic:
     ``used_*`` accumulates in the same order as :attr:`HostView.used` and
@@ -293,10 +294,6 @@ class HostBatch:
     def commit(self, i: int, vm_id: str, demand: Resources,
                used_cpu: float) -> None:
         self.hosts[i].commit(vm_id, demand, used_cpu)
-        self.refresh(i)
-
-    def release(self, i: int, vm_id: str) -> None:
-        self.hosts[i].release(vm_id)
         self.refresh(i)
 
     def would_be_on(self, auto_power_off: bool = True) -> np.ndarray:
@@ -673,9 +670,10 @@ class RoundScorer:
 
     * latency and migration columns are materialized once per (source) and
       per (origin location) and cached;
-    * estimator dispatch is resolved once (estimators without the batch
-      interface raise ``ValueError`` — callers fall back to
-      :func:`evaluate_candidates`, which loops scalars);
+    * estimator dispatch is resolved once (estimators without the full
+      batch interface — ``process_rt_batch``, ``process_sla_batch`` and a
+      non-None ``pm_cpu_batch`` — raise ``ValueError``; callers fall back
+      to :func:`evaluate_candidates`, which loops scalars where needed);
     * the "watts before" vector — the facility power of every host under
       the current tentative packing — is cached and refreshed only on
       :meth:`commit`.
@@ -698,7 +696,8 @@ class RoundScorer:
         self._rt_fn = getattr(est, "process_rt_batch", None)
         self._sla_fn = getattr(est, "process_sla_batch", None)
         self._pm_fn = getattr(est, "pm_cpu_batch", None)
-        if self._sla_fn is None or self._pm_fn is None:
+        if (self._rt_fn is None or self._sla_fn is None
+                or self._pm_fn is None):
             raise ValueError("estimator lacks the batch interface")
         # Probe once: pm_cpu_batch may decline (None) at call time.
         probe = self._pm_fn(batch.committed_count, batch.committed_cpu_sum)
@@ -974,9 +973,8 @@ class RoundScorer:
         # weighted — the same accumulation _batch_sla runs, with the
         # latency columns precomputed and the contract validated once.
         contract = request.contract
-        rt_proc = (self._rt_fn(vm, agg, required, given_cpu, given_mem,
-                               given_bw, queue_len=request.queue_len)
-                   if self._rt_fn is not None else None)
+        rt_proc = self._rt_fn(vm, agg, required, given_cpu, given_mem,
+                              given_bw, queue_len=request.queue_len)
         if rt_proc is not None:
             eq_rt = np.asarray(rt_proc, dtype=float)
         else:
@@ -1061,21 +1059,6 @@ class RoundScorer:
             migration_penalty_eur=penalty, sla=sla, given_cpu=given_cpu,
             given_mem=given_mem, given_bw=given_bw, used_cpu=used_cpu,
             migration_seconds=migration_s)
-
-
-def score_candidates(problem: SchedulingProblem, request: VMRequest,
-                     hosts, required: Optional[Resources] = None
-                     ) -> np.ndarray:
-    """Profit of placing ``request`` on each candidate host (the batch API).
-
-    Thin wrapper over :func:`evaluate_candidates` returning only the
-    profit vector (EUR per interval, aligned with the batch's host order)
-    that the schedulers argmax over.  Use :func:`evaluate_candidates`
-    directly when the per-term breakdown (revenue / energy / migration /
-    SLA / grants) is needed.
-    """
-    return evaluate_candidates(problem, request, hosts,
-                               required=required).profit_eur
 
 
 def evaluate_schedule(problem: SchedulingProblem,

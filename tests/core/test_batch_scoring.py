@@ -1,9 +1,10 @@
 """Differential tests: batch placement scoring == scalar reference.
 
-`evaluate_candidates` / `score_candidates` must agree with a loop of scalar
-`placement_profit` calls within 1e-9 on every field, for every estimator,
-across randomized problems covering powered-off hosts, full hosts,
-zero-capacity hosts, migration cases and zero-load VMs.
+Both vectorized scorers — `evaluate_candidates` and `RoundScorer.evaluate`
+— must agree with a loop of scalar `placement_profit` calls within 1e-9 on
+every field, for every estimator, across randomized problems covering
+powered-off hosts, full hosts, zero-capacity hosts, migration cases and
+zero-load VMs.
 """
 
 import numpy as np
@@ -11,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bestfit import SchedulingRound, descending_best_fit
 from repro.core.estimators import (MLEstimator, ObservedEstimator,
                                    OracleEstimator)
 from repro.core.model import (HostBatch, HostView, ObjectiveWeights,
-                              SchedulingProblem, VMRequest,
-                              evaluate_candidates, placement_profit,
-                              score_candidates)
+                              RoundScorer, SchedulingProblem, VMRequest,
+                              evaluate_candidates, placement_profit)
 from repro.core.profit import PriceBook
 from repro.core.sla import PAPER_SLA, SLAContract
+from repro.experiments.scenario import (ScenarioConfig, multidc_system,
+                                        multidc_trace)
 from repro.sim.demand import LoadVector
 from repro.sim.machines import Resources, VirtualMachine
 from repro.sim.network import PAPER_LOCATIONS, paper_network_model
@@ -96,26 +99,51 @@ def random_problem(rng, estimator, n_hosts=8, n_vms=10, weights=None,
         auto_power_off=auto_power_off)
 
 
+def required_of(problem, request):
+    return problem.estimator.required_resources(
+        request.vm, request.aggregate_load, float("inf"))
+
+
+def batch_scorers(problem):
+    """Every vectorized scorer that accepts the problem's estimator.
+
+    Maps a name to ``evaluate(request, required) -> BatchEvaluation``;
+    ``RoundScorer`` refuses estimators without the full batch interface
+    (packing then goes through ``evaluate_candidates``).
+    """
+    batch = HostBatch.of(problem.hosts)
+    scorers = {"evaluate_candidates": lambda request, req: (
+        evaluate_candidates(problem, request, batch, required=req))}
+    try:
+        round_scorer = RoundScorer(problem, HostBatch.of(problem.hosts))
+    except ValueError:
+        pass
+    else:
+        scorers["RoundScorer"] = round_scorer.evaluate
+    return scorers
+
+
 def assert_batch_matches_scalar(problem):
     """Every (VM, host) pair: batch columns == scalar placement_profit."""
-    batch = HostBatch.of(problem.hosts)
-    for request in problem.requests:
-        evs = evaluate_candidates(problem, request, batch)
-        for i, host in enumerate(problem.hosts):
-            ev = placement_profit(problem, request, host)
-            for name in FIELDS:
-                got = float(getattr(evs, name)[i])
-                want = getattr(ev, name)
-                assert got == pytest.approx(want, abs=TOL), (
-                    f"{name} diverges for {request.vm_id} on {host.pm_id}: "
-                    f"batch {got!r} vs scalar {want!r}")
-            assert float(evs.given_cpu[i]) == pytest.approx(ev.given.cpu,
-                                                            abs=TOL)
-            assert float(evs.given_mem[i]) == pytest.approx(ev.given.mem,
-                                                            abs=TOL)
-            assert float(evs.given_bw[i]) == pytest.approx(ev.given.bw,
-                                                           abs=TOL)
-            assert evs.evaluation(i).fits == ev.fits
+    for scorer, evaluate in batch_scorers(problem).items():
+        for request in problem.requests:
+            evs = evaluate(request, required_of(problem, request))
+            for i, host in enumerate(problem.hosts):
+                ev = placement_profit(problem, request, host)
+                for name in FIELDS:
+                    got = float(getattr(evs, name)[i])
+                    want = getattr(ev, name)
+                    assert got == pytest.approx(want, abs=TOL), (
+                        f"{scorer}: {name} diverges for {request.vm_id} "
+                        f"on {host.pm_id}: batch {got!r} vs scalar "
+                        f"{want!r}")
+                assert float(evs.given_cpu[i]) == pytest.approx(
+                    ev.given.cpu, abs=TOL)
+                assert float(evs.given_mem[i]) == pytest.approx(
+                    ev.given.mem, abs=TOL)
+                assert float(evs.given_bw[i]) == pytest.approx(
+                    ev.given.bw, abs=TOL)
+                assert evs.evaluation(i).fits == ev.fits
 
 
 class TestDifferentialOracle:
@@ -167,72 +195,73 @@ class TestDifferentialML:
         assert_batch_matches_scalar(problem)
 
 
+class PlainEstimator:
+    """Duck-typed estimator: the scalar interface only."""
+
+    inner = OracleEstimator()
+
+    def required_resources(self, vm, load, cpu_cap):
+        return self.inner.required_resources(vm, load, cpu_cap)
+
+    def pm_cpu(self, vm_cpus):
+        return self.inner.pm_cpu(vm_cpus)
+
+    def process_rt(self, vm, load, required, given, queue_len=0.0):
+        return self.inner.process_rt(vm, load, required, given, queue_len)
+
+    def process_sla(self, vm, load, required, given, contract,
+                    queue_len=0.0):
+        return self.inner.process_sla(vm, load, required, given, contract,
+                                      queue_len)
+
+
 class TestDucktypedEstimator:
     def test_estimator_without_batch_methods_uses_scalar_fallback(self):
         """Custom estimators need not implement the *_batch interface."""
-
-        class PlainEstimator:
-            inner = OracleEstimator()
-
-            def required_resources(self, vm, load, cpu_cap):
-                return self.inner.required_resources(vm, load, cpu_cap)
-
-            def pm_cpu(self, vm_cpus):
-                return self.inner.pm_cpu(vm_cpus)
-
-            def process_rt(self, vm, load, required, given, queue_len=0.0):
-                return self.inner.process_rt(vm, load, required, given,
-                                             queue_len)
-
-            def process_sla(self, vm, load, required, given, contract,
-                            queue_len=0.0):
-                return self.inner.process_sla(vm, load, required, given,
-                                              contract, queue_len)
-
         rng = np.random.default_rng(10)
         problem = random_problem(rng, PlainEstimator(), n_hosts=5, n_vms=5)
+        assert list(batch_scorers(problem)) == ["evaluate_candidates"]
         assert_batch_matches_scalar(problem)
 
+    def test_batch_packing_returns_the_scalar_assignment(self):
+        """descending_best_fit(batch=True) and SchedulingRound.pack both
+        return the batch=False assignment for a scalar-only estimator."""
+        config = ScenarioConfig(pms_per_dc=2, n_vms=8, n_intervals=4,
+                                seed=10)
+        trace = multidc_trace(config)
+        system = multidc_system(config)
+        system.step(trace, 0)
+        round_ = SchedulingRound(system, trace, 1, PlainEstimator())
+        problem = round_.problem()
+        want = descending_best_fit(problem, batch=False)
+        assert want.assignment
+        assert (descending_best_fit(problem, batch=True).assignment
+                == want.assignment)
+        assert round_.pack(problem).assignment == want.assignment
 
-class TestScoreCandidates:
-    def test_returns_profit_vector(self):
-        rng = np.random.default_rng(11)
-        problem = random_problem(rng, OracleEstimator())
-        request = problem.requests[0]
-        scores = score_candidates(problem, request, problem.hosts)
-        assert scores.shape == (len(problem.hosts),)
-        for i, host in enumerate(problem.hosts):
-            want = placement_profit(problem, request, host).profit_eur
-            assert float(scores[i]) == pytest.approx(want, abs=TOL)
 
+class TestPrebuiltBatch:
     def test_accepts_prebuilt_batch_and_required(self):
         rng = np.random.default_rng(12)
         problem = random_problem(rng, OracleEstimator())
         request = problem.requests[1]
-        req = problem.estimator.required_resources(
-            request.vm, request.aggregate_load, float("inf"))
         batch = HostBatch.of(problem.hosts)
-        scores = score_candidates(problem, request, batch, required=req)
-        want = score_candidates(problem, request, problem.hosts)
-        np.testing.assert_allclose(scores, want, atol=TOL)
+        scores = evaluate_candidates(problem, request, batch,
+                                     required=required_of(problem, request))
+        want = evaluate_candidates(problem, request, problem.hosts)
+        np.testing.assert_allclose(scores.profit_eur, want.profit_eur,
+                                   atol=TOL)
 
 
 class TestIncrementalUpdates:
-    def test_commit_release_keeps_batch_in_sync(self):
-        """After commits/releases, batch columns equal rebuilt-from-scratch."""
+    def test_commit_keeps_batch_in_sync(self):
+        """After a commit, batch columns equal rebuilt-from-scratch."""
         rng = np.random.default_rng(13)
         problem = random_problem(rng, OracleEstimator())
         batch = HostBatch.of(problem.hosts)
         request = problem.requests[2]
-        req = problem.estimator.required_resources(
-            request.vm, request.aggregate_load, float("inf"))
+        req = required_of(problem, request)
         batch.commit(3, request.vm_id, req, used_cpu=req.cpu)
-        fresh = HostBatch.of(problem.hosts)
-        for name in ("used_cpu", "used_mem", "used_bw",
-                     "committed_cpu_sum", "committed_count"):
-            np.testing.assert_array_equal(getattr(batch, name),
-                                          getattr(fresh, name))
-        batch.release(3, request.vm_id)
         fresh = HostBatch.of(problem.hosts)
         for name in ("used_cpu", "used_mem", "used_bw",
                      "committed_cpu_sum", "committed_count"):
@@ -265,7 +294,8 @@ def test_property_single_pair(rps, cpu_time, resident_cpu, initially_on,
         requests=[request], hosts=[host], network=paper_network_model(),
         prices=PriceBook(), estimator=OracleEstimator())
     ev = placement_profit(problem, request, host)
-    evs = evaluate_candidates(problem, request, [host])
-    for name in FIELDS:
-        assert float(getattr(evs, name)[0]) == pytest.approx(
-            getattr(ev, name), abs=TOL)
+    for evaluate in batch_scorers(problem).values():
+        evs = evaluate(request, required_of(problem, request))
+        for name in FIELDS:
+            assert float(getattr(evs, name)[0]) == pytest.approx(
+                getattr(ev, name), abs=TOL)

@@ -65,9 +65,9 @@ class TestAllInfRound:
 
     def test_scores_really_were_all_inf(self):
         problem = hostile_problem()
-        from repro.core.model import score_candidates
-        scores = score_candidates(problem, problem.requests[0],
-                                  problem.hosts)
+        from repro.core.model import evaluate_candidates
+        scores = evaluate_candidates(problem, problem.requests[0],
+                                     problem.hosts).profit_eur
         assert np.all(np.isneginf(scores))
 
 

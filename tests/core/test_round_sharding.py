@@ -1,12 +1,13 @@
 """Differential tests: DC-scoped SchedulingRounds vs the global snapshot.
 
-PR-8 contract: a :class:`~repro.core.bestfit.SchedulingRound` constructed
-with ``scope_pms``/``batch_vms`` (host base and demand prefetch restricted
-to one shard) packs the *same* assignments as a fleet-wide round solving
-the same scoped problem — construction cost shrinks to O(shard) without
-changing a single placement.  ``HierarchicalScheduler(shard_rounds=True)``
-rides on this and must be indistinguishable from both the single-snapshot
-path and the object-walking reference, including under failures.
+Contract: a :class:`~repro.core.bestfit.SchedulingRound` constructed with
+``scope_pms``/``batch_vms`` (host base and demand prefetch restricted to
+one shard) packs the *same* assignments as a fleet-wide round solving the
+same scoped problem — construction cost shrinks to O(shard) without
+changing a single placement.  ``HierarchicalScheduler`` gives every
+phase-1 and phase-2 problem such a scoped round and must be
+indistinguishable from the object-walking ``build_problem`` reference
+(``use_round_snapshot=False``), including under failures.
 
 Also pins the empty-shard regression: an empty problem (zero-PM DC, or a
 shard whose hosts all failed, with nothing to place) is a clean no-op
@@ -119,13 +120,13 @@ class TestScopedRoundParity:
             global_round.best_fit(scope_vms, scope_pms))
 
 
-class TestShardRoundsScheduler:
-    def test_rounds_identical_to_single_snapshot(self, config, trace):
+class TestScopedRoundsScheduler:
+    def test_rounds_identical_to_reference(self, config, trace):
         shard_sys = stepped_system(config, trace)
         ref_sys = stepped_system(config, trace)
-        sharded = HierarchicalScheduler(estimator=OracleEstimator(),
-                                        shard_rounds=True)
-        ref = HierarchicalScheduler(estimator=OracleEstimator())
+        sharded = HierarchicalScheduler(estimator=OracleEstimator())
+        ref = HierarchicalScheduler(estimator=OracleEstimator(),
+                                    use_round_snapshot=False)
         for t in range(1, 6):
             a = sharded(shard_sys, trace, t)
             b = ref(ref_sys, trace, t)
@@ -152,7 +153,7 @@ class TestShardRoundsScheduler:
                                      failure_injector=injector)
             return system, history
 
-        shard_sys, shard_hist = run(shard_rounds=True)
+        shard_sys, shard_hist = run()
         ref_sys, ref_hist = run(use_round_snapshot=False)
         assert shard_sys.placement() == ref_sys.placement()
         worst = max(report_max_abs_diff(a, b) for a, b in
@@ -160,7 +161,7 @@ class TestShardRoundsScheduler:
         assert worst < 1e-9
 
     def test_empty_dc_is_skipped(self, config, trace):
-        """A zero-VM DC contributes no intra-DC problem, sharded or not."""
+        """A zero-VM DC contributes no intra-DC problem on either path."""
         def drained(scheduler):
             system = stepped_system(config, trace)
             empty_dc = system.datacenters[0]
@@ -172,9 +173,9 @@ class TestShardRoundsScheduler:
             assert not empty_dc.vm_ids
             return scheduler(system, trace, 1), system
 
-        sharded = HierarchicalScheduler(estimator=OracleEstimator(),
-                                        shard_rounds=True)
-        ref = HierarchicalScheduler(estimator=OracleEstimator())
+        sharded = HierarchicalScheduler(estimator=OracleEstimator())
+        ref = HierarchicalScheduler(estimator=OracleEstimator(),
+                                    use_round_snapshot=False)
         a, sys_a = drained(sharded)
         b, sys_b = drained(ref)
         assert a == b
