@@ -3,7 +3,8 @@
 Two claims from the PR-8 acceptance, each pinned as an assertion:
 
 * **Parity at scale** — ``huge_fleet_stream`` plays the same static
-  placement through the sharded facade and the monolithic reference;
+  placement through the per-DC stepper's two modes: KPI-only
+  (``sharded``) and full reports reduced afterwards (``monolithic``);
   every aggregate KPI agrees within 1e-9 (relative).  Both variants
   stream their per-interval KPIs to JSONL sinks, so the bench itself is
   a bounded-memory run — the 50k-VM in-memory history (hundreds of MB

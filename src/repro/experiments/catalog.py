@@ -19,8 +19,9 @@ a new module:
   amplification ladder: raw models vs bagged ensembles vs the
   calibrated, variance-penalized ranking (``VariantSpec(risk=...)``).
 * ``huge_fleet_stream`` — bounded-memory stepping at the 50k-VM scale:
-  the sharded per-DC fleet path (``VariantSpec(sharded=True)``) against
-  the monolithic reference, meant to be run with a streaming sink
+  the per-DC stepper's KPI-only mode (``VariantSpec(sharded=True)``)
+  against its full-report mode reduced afterwards (the ``monolithic``
+  variant), meant to be run with a streaming sink
   (``scenarios run huge_fleet_stream --stream out.jsonl``) so peak
   memory stays flat in both fleet size and horizon.  Its ``scale`` knob
   multiplies the *fleet* (VMs and PMs together), not the request rate.
@@ -251,17 +252,18 @@ def huge_fleet_stream_spec(n_intervals: int = 6, seed: int = 31,
                            n_vms: int = 50_000) -> ScenarioSpec:
     """Bounded-memory stepping at the 50–100k-VM scale.
 
-    The ISSUE-8 tentpole scenario: ``n_vms`` VMs over ``n_dcs`` DCs
-    stepped through the sharded per-DC fleet path
-    (``VariantSpec(sharded=True)``) next to the monolithic reference,
-    both under a static placement so the measured cost is the stepping
-    itself.  Run it with a streaming sink (``scenarios run
-    huge_fleet_stream --stream out.jsonl``): the sharded variant then
-    reduces each interval straight to KPIs with no per-VM boxing, so
-    peak memory stays roughly flat in horizon length where the
-    in-memory monolithic path grows linearly
-    (``benchmarks/test_bench_sharding.py`` gates both the wall-clock
-    and the tracemalloc peak, and pins KPI parity at 1e-9).
+    ``n_vms`` VMs over ``n_dcs`` DCs, both variants stepped through the
+    per-DC array stepper under a static placement so the measured cost
+    is the stepping itself.  The ``sharded`` variant
+    (``VariantSpec(sharded=True)``) runs its KPI-only mode; the
+    ``monolithic`` variant builds the full per-VM report every interval
+    and reduces it afterwards (report-then-reduce).  Run it with a
+    streaming sink (``scenarios run huge_fleet_stream --stream
+    out.jsonl``): the sharded variant then reduces each interval
+    straight to KPIs with no per-VM boxing, so peak memory stays roughly
+    flat in horizon length where the in-memory report-then-reduce run
+    grows linearly (``benchmarks/test_bench_sharding.py`` gates both the
+    wall-clock and the tracemalloc peak, and pins KPI parity at 1e-9).
 
     Unlike every other catalog scenario, ``scale`` here multiplies the
     *fleet* — VMs and PMs together, load shape untouched — because the
@@ -278,7 +280,7 @@ def huge_fleet_stream_spec(n_intervals: int = 6, seed: int = 31,
     return ScenarioSpec(
         name="huge_fleet_stream",
         description="Bounded-memory sharded stepping at 50k+ VMs "
-                    "(sharded vs monolithic, stream the KPIs)",
+                    "(KPI-only vs report-then-reduce, stream the KPIs)",
         fleet=fleet,
         workload=WorkloadSpec("fleet"),
         variants=(
@@ -290,8 +292,8 @@ def huge_fleet_stream_spec(n_intervals: int = 6, seed: int = 31,
 
 REGISTRY.register(
     "huge_fleet_stream",
-    description="Bounded-memory sharded stepping at 50k+ VMs (sharded "
-                "vs monolithic, stream the KPIs)")(
+    description="Bounded-memory sharded stepping at 50k+ VMs (KPI-only "
+                "vs report-then-reduce, stream the KPIs)")(
     lambda n_intervals=None, seed=None, scale=None:
         huge_fleet_stream_spec(n_intervals=fallback(n_intervals, 6),
                                seed=fallback(seed, 31),

@@ -149,9 +149,9 @@ class DemandModel:
 
         All inputs broadcast; returns the ``(cpu, mem, bw)`` requirement
         arrays (percent-of-core, MB, KB/s).  Used by the batch stepping
-        path (:mod:`repro.sim.fleet`) to evaluate constraint 5.1 for the
-        whole fleet in a handful of array operations; matches the scalar
-        method element-for-element.
+        path (:mod:`repro.sim.sharding`) to evaluate constraint 5.1 for a
+        whole datacenter shard in a handful of array operations; matches
+        the scalar method element-for-element.
         """
         cpu = np.minimum(self.required_cpu(rps, cpu_time_per_req), cpu_cap)
         mem = self.required_mem(rps, bytes_per_req, base_mem_mb)

@@ -197,9 +197,9 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
         the scheduler each interval, so orphaned VMs can be re-placed in the
         same round.
     batch:
-        Step intervals through the array-backed fleet path (default; see
-        :mod:`repro.sim.fleet`) or the scalar per-VM reference loop.  Both
-        produce reports that agree within 1e-9 on every field.
+        Step intervals through the per-DC array stepper (default; see
+        :mod:`repro.sim.sharding`) or the scalar per-VM reference loop.
+        Both produce reports that agree within 1e-9 on every field.
     sink:
         Optional :class:`~repro.sim.metrics.MetricsSink`; receives one
         :class:`~repro.sim.metrics.IntervalMetrics` per interval as it is
@@ -210,12 +210,12 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
         history is then empty (use the sink's ``summary()``/``series()``).
         Requires ``sink``.
     sharded:
-        Step intervals per-DC through :class:`~repro.sim.sharding`
-        :class:`~repro.sim.sharding.ShardedFleet` (requires ``batch``).
-        With ``keep_reports=False``, no monitor and a sink, each interval
-        reduces straight to KPIs with no per-VM boxing at all; otherwise
-        the sharded path builds full reports (within 1e-9 of the
-        monolithic path).
+        Select the KPI-only mode of the array stepper
+        (:meth:`~repro.sim.sharding.ShardedFleet.step_metrics`; requires
+        ``batch``): with ``keep_reports=False`` and no monitor, each
+        interval reduces straight to KPIs for the sink, with no per-VM
+        boxing at all.  Otherwise it changes nothing: every batch interval
+        already steps through the same per-DC shards.
     """
     if schedule_every < 1:
         raise ValueError("schedule_every must be >= 1")
@@ -226,8 +226,10 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
     stop = trace.n_intervals if stop is None else stop
     if not 0 <= start <= stop <= trace.n_intervals:
         raise ValueError(f"bad range [{start}, {stop})")
-    if sink is not None or sharded:
+    kpi_only = sharded and not keep_reports and monitor is None
+    if sink is not None:
         from .metrics import metrics_of  # deferred: metrics imports us
+    if kpi_only:
         from .sharding import ShardedFleet
     history = RunHistory()
     for t in range(start, stop):
@@ -241,17 +243,11 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
             proposal = scheduler(system, trace, t)
             if proposal:
                 migrations = system.apply_schedule(proposal)
-        if sharded:
-            shf = ShardedFleet.for_system(system, trace)
-            if keep_reports or monitor is not None:
-                report = shf.step_report(trace, t, migrations=migrations)
-            else:
-                sink.on_metrics(shf.step_metrics(trace, t,
-                                                 migrations=migrations))
-                continue
-        else:
-            report = system.step(trace, t, migrations=migrations,
-                                 batch=batch)
+        if kpi_only:
+            sink.on_metrics(ShardedFleet.for_system(system, trace)
+                            .step_metrics(trace, t, migrations=migrations))
+            continue
+        report = system.step(trace, t, migrations=migrations, batch=batch)
         if monitor is not None:
             monitor.observe(report)
         if sink is not None:

@@ -1,55 +1,41 @@
-"""Array-backed interval stepping for large fleets.
+"""Array snapshot of a (system, trace) pair for batch interval stepping.
 
 :meth:`repro.sim.multidc.MultiDCSystem.step` historically walked per-VM and
 per-PM Python loops — one demand-model call, one RT-model call and one SLA
-aggregation per VM, every interval.  After PR 1 vectorized placement
-scoring, those loops dominated simulation wall-clock.  This module is the
-batch twin of the stepping path:
+aggregation per VM, every interval.  The batch stepping path replaces those
+loops with array operations over aligned columns, and this module holds the
+columns it reads:
 
 * :class:`FleetState` snapshots everything *static* about a (system, trace)
   pair as aligned numpy arrays: stacked per-(VM, source) load series,
   precomputed per-VM aggregate loads for every interval, per-VM contract
-  and cap columns, per-PM capacity columns, power-model groups and the
-  location x source latency matrix.  It is built once and cached on the
-  system (:attr:`MultiDCSystem._fleet_cache`), so stepping a 96-interval
-  run pays the snapshot cost once.
-* :func:`fleet_step` plays one interval entirely in array form: demands via
-  :meth:`DemandModel.required_batch`, grants via the segmented
-  :func:`~repro.sim.multidc.proportional_allocation_batch`, response times
-  via :meth:`ResponseTimeModel.process_rt_arrays`, per-source SLA via
-  grouped ``bincount`` reductions, and power/energy/money via per-PM
-  segment sums.  Per-VM Python objects are materialized once at the end,
-  straight from the result arrays, to build the same
-  :class:`~repro.sim.multidc.IntervalReport` the scalar path returns.
+  and cap columns, per-PM capacity columns, power-model groups, the
+  per-DC PM ranges and the location x source latency matrix.  It is built
+  once and cached on the system (:attr:`MultiDCSystem._fleet_cache`), so
+  stepping a 96-interval run pays the snapshot cost once.
+* The stepper itself is :class:`repro.sim.sharding.ShardedFleet`: it slices
+  the snapshot into per-DC shards and plays each interval shard by shard,
+  either building the full :class:`~repro.sim.multidc.IntervalReport`
+  (``step(batch=True)``) or reducing straight to KPIs.
 
 Contract (same style as PR 1's batch scoring): the scalar path
 (``step(batch=False)``) stays the executable reference, and the batch path
 agrees with it within 1e-9 on every ``IntervalReport`` field — including
-every per-VM and per-PM statistic.  Differential tests in
-``tests/sim/test_fleet_step.py`` enforce this.
-
-Mutation side-effects are preserved: the batch step writes the computed
-grants back into each :class:`PhysicalMachine`, refreshes
-``system.last_demands`` and consumes pending migration blackouts exactly
-like the scalar loop, so schedulers see an identical system afterwards.
+every per-VM and per-PM statistic.  :func:`report_max_abs_diff` is the
+metric the scalar-vs-batch differential tests under ``tests/sim/`` apply.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .demand import LoadVector
-from .machines import Resources
-from .multidc import (IntervalReport, MigrationEvent, MultiDCSystem,
-                      PMIntervalStats, VMIntervalStats,
-                      proportional_allocation_batch)
-from ..core.profit import ProfitBreakdown, migration_penalty_eur
-from ..core.sla import sla_fulfillment
+from .multidc import IntervalReport, MultiDCSystem
 from ..workload.traces import WorkloadTrace
 
-__all__ = ["FleetState", "fleet_step", "report_max_abs_diff"]
+__all__ = ["FleetState", "report_max_abs_diff"]
 
 
 def report_max_abs_diff(a: IntervalReport, b: IntervalReport) -> float:
@@ -102,9 +88,6 @@ def report_max_abs_diff(a: IntervalReport, b: IntervalReport) -> float:
                     abs(getattr(a.profit, field) - getattr(b.profit, field)))
     return worst
 
-#: Shared empty grant for unplaced VMs (Resources is frozen, safe to share).
-_NO_GRANT = Resources()
-
 
 def _cache_key(system: MultiDCSystem, trace: WorkloadTrace) -> tuple:
     """Shape of the (system, trace) pair a FleetState was built from.
@@ -129,7 +112,7 @@ class FleetState:
     array describes ``pms[i]`` (datacenter order, as in
     :attr:`MultiDCSystem.pms`).  Time-varying state — placement, power
     flags, tariffs, pending blackouts — is deliberately *not* snapshotted;
-    :func:`fleet_step` reads it from the live system every interval.
+    the stepper reads it from the live system every interval.
     """
 
     def __init__(self, system: MultiDCSystem, trace: WorkloadTrace) -> None:
@@ -241,15 +224,7 @@ class FleetState:
         # -- per-PM static columns ------------------------------------------
         self.locations: List[str] = [dc.location
                                      for dc in system.datacenters]
-        self.pms = []
-        pm_loc: List[int] = []
-        self.pm_loc_names: List[str] = []
-        for li, dc in enumerate(system.datacenters):
-            for pm in dc.pms:
-                self.pms.append(pm)
-                pm_loc.append(li)
-                self.pm_loc_names.append(dc.location)
-        self.pm_loc = np.asarray(pm_loc, dtype=np.intp)
+        self.pms = [pm for dc in system.datacenters for pm in dc.pms]
         #: Per-DC contiguous ``[lo, hi)`` slices of the PM arrays (PMs are
         #: laid out in datacenter order) — the shard boundaries
         #: :mod:`repro.sim.sharding` slices on.  A zero-PM DC contributes an
@@ -275,7 +250,7 @@ class FleetState:
         # -- location x source transport latency, seconds -------------------
         # Pairs the network cannot resolve become NaN; the scalar path only
         # ever looks up pairs that actually occur, so the batch path raises
-        # lazily — when a *placed* VM needs an unknown pair (see fleet_step).
+        # lazily — when a *placed* VM needs an unknown pair.
         self.sources = list(src_index)
         lat = np.full((max(len(self.locations), 1),
                        max(len(self.sources), 1)), np.nan)
@@ -289,9 +264,9 @@ class FleetState:
         self.lat_s = lat
 
         # -- publish read-only ----------------------------------------------
-        # The snapshot is shared: the stepper, the sharded runner and the
-        # round-scoring path all read these arrays (and hand out views,
-        # e.g. aggregate_columns), so corruption-by-alias must fail loudly
+        # The snapshot is shared: the per-DC stepper and the round-scoring
+        # path both read these arrays (and hand out views, e.g.
+        # aggregate_columns), so corruption-by-alias must fail loudly
         # rather than skew later intervals.  Consumers that need to write
         # (fancy-indexed gathers) get fresh writable copies anyway.
         for arr in (self.series_vm, self.series_src, self.rps_rows,
@@ -299,7 +274,7 @@ class FleetState:
                     self.agg_rps, self.agg_bpr, self.agg_cpr,
                     self.no_contract, self.base_mem, self.vm_cap_cpu,
                     self.vm_cap_mem, self.vm_cap_bw, self.price,
-                    self.rt0, self.alpha, self.pm_loc, self.pm_cap_cpu,
+                    self.rt0, self.alpha, self.pm_cap_cpu,
                     self.pm_cap_mem, self.pm_cap_bw, self.lat_s):
             arr.setflags(write=False)
         for _model, ix in self.power_groups:
@@ -351,230 +326,3 @@ class FleetState:
         system._fleet_cache = fleet
         return fleet
 
-
-def fleet_step(system: MultiDCSystem, trace: WorkloadTrace, t: int,
-               migrations: Optional[List[MigrationEvent]] = None
-               ) -> IntervalReport:
-    """Array-backed :meth:`MultiDCSystem.step` (the ``batch=True`` path).
-
-    Follows the scalar reference loop stage by stage — demands, grants,
-    response times, SLA, blackouts, revenue, power — but each stage is a
-    handful of fleet-wide array operations instead of per-VM Python calls.
-    See the module docstring for the equivalence contract.
-    """
-    fleet = FleetState.for_system(system, trace)
-    interval_s = trace.interval_s
-    hours = interval_s / 3600.0
-    migrations = migrations or []
-    n_vms = len(fleet.vm_ids)
-    n_pms = len(fleet.pms)
-
-    # 1. Placement arrays: which fleet column sits on which PM.
-    placed: List[int] = []
-    seg: List[int] = []
-    pm_vm_lists: List[Optional[List[str]]] = [None] * n_pms
-    vm_index = fleet.vm_index
-    for i, pm in enumerate(fleet.pms):
-        ids = pm.vm_ids
-        if not ids:
-            continue
-        pm_vm_lists[i] = ids
-        for vm_id in ids:
-            # Every system VM has a column (untraced ones carry zero
-            # load); only a VM foreign to the system is an error.
-            j = vm_index.get(vm_id)
-            if j is None:
-                raise KeyError(f"unknown VM {vm_id!r} on host {pm.pm_id!r}")
-            if fleet.no_contract[j]:
-                # The scalar loop raises on the contract lookup of any
-                # placed VM; mirror it.
-                raise KeyError(vm_id)
-            placed.append(j)
-            seg.append(i)
-    placed_idx = np.asarray(placed, dtype=np.intp)
-    seg_arr = np.asarray(seg, dtype=np.intp)
-    placed_mask = np.zeros(n_vms, dtype=bool)
-    placed_mask[placed_idx] = True
-
-    # 2. Demands for the whole fleet (constraint 5.1), deliberately
-    # uncapped so overload registers as stress > 1 — as in the scalar path.
-    dm = system.demand_model
-    rps = fleet.agg_rps[:, t]
-    bpr = fleet.agg_bpr[:, t]
-    cpr = fleet.agg_cpr[:, t]
-    req_cpu, req_mem, req_bw = dm.required_batch(
-        rps, bpr, cpr, fleet.base_mem, cpu_cap=float("inf"))
-
-    # 3. Grants: proportional sharing per PM (constraint 5.2), segmented.
-    d_cpu = req_cpu[placed_idx]
-    d_mem = req_mem[placed_idx]
-    d_bw = req_bw[placed_idx]
-    g_cpu, g_mem, g_bw = proportional_allocation_batch(
-        fleet.pm_cap_cpu, fleet.pm_cap_mem, fleet.pm_cap_bw, seg_arr,
-        d_cpu, d_mem, d_bw,
-        c_cpu=fleet.vm_cap_cpu[placed_idx],
-        c_mem=fleet.vm_cap_mem[placed_idx],
-        c_bw=fleet.vm_cap_bw[placed_idx],
-        n_hosts=n_pms)
-    used_cpu = np.minimum(d_cpu, g_cpu)
-
-    # 4. Response times (constraint 6.1) and per-source SLA (6.2-7).
-    rtm = system.rt_model
-    rt_cap = rtm.rt_cap_s
-    rps_p = rps[placed_idx]
-    proc_rt_p = rtm.process_rt_arrays(cpr[placed_idx], rps_p,
-                                      d_cpu, g_cpu, d_mem, g_mem,
-                                      d_bw, g_bw)
-    proc_rt = np.full(n_vms, rt_cap)
-    proc_rt[placed_idx] = proc_rt_p
-    vm_loc = np.zeros(n_vms, dtype=np.intp)
-    vm_loc[placed_idx] = fleet.pm_loc[seg_arr]
-    rps_rows = fleet.rps_rows[:, t]
-    lat_rows = fleet.lat_s[vm_loc[fleet.series_vm], fleet.series_src]
-    bad = np.isnan(lat_rows) & placed_mask[fleet.series_vm]
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        loc = fleet.locations[vm_loc[fleet.series_vm[row]]]
-        raise KeyError(f"unknown location: no latency between host "
-                       f"{loc!r} and source "
-                       f"{fleet.sources[fleet.series_src[row]]!r}")
-    rt_rows = proc_rt[fleet.series_vm] + lat_rows
-    # SLAContract.fulfillment with per-VM (rt0, alpha), elementwise.
-    f_rows = sla_fulfillment(rt_rows, fleet.rt0[fleet.series_vm],
-                             fleet.alpha[fleet.series_vm])
-    weight = np.bincount(fleet.series_vm, weights=rps_rows,
-                         minlength=n_vms)
-    scored = np.bincount(fleet.series_vm, weights=f_rows * rps_rows,
-                         minlength=n_vms)
-    sla_raw = np.where(weight > 0, scored / np.where(weight > 0, weight,
-                                                     1.0), 1.0)
-    sla_raw = np.where(placed_mask, sla_raw, 0.0)
-    sla_process = np.zeros(n_vms)
-    sla_process[placed_idx] = sla_fulfillment(
-        proc_rt_p, fleet.rt0[placed_idx], fleet.alpha[placed_idx])
-
-    # 5. Migration blackouts: consume pending seconds for placed VMs only
-    # (orphans keep theirs until re-placed), as in the scalar loop.
-    frac = np.zeros(n_vms)
-    penalty_total = 0.0
-    pending = system._pending_blackout_s
-    if pending:
-        rate = system.prices.migration_penalty_rate
-        for vm_id in list(pending):
-            j = vm_index.get(vm_id)
-            if j is None or not placed_mask[j]:
-                continue
-            blackout_s = pending.pop(vm_id)
-            f = min(1.0, blackout_s / interval_s)
-            frac[j] = f
-            if f > 0.0:
-                penalty_total += migration_penalty_eur(blackout_s, rate)
-    sla = sla_raw * (1.0 - frac)
-
-    # 6. Revenue (same validation as core.profit.revenue_eur).
-    if np.any(sla < 0.0) or np.any(sla > 1.0 + 1e-9):
-        raise ValueError("SLA fulfillment outside [0, 1]")
-    revenue = fleet.price * np.minimum(sla, 1.0) * hours
-    revenue = np.where(placed_mask, revenue, 0.0)
-
-    # Queue lengths (monitoring feature).
-    queue_p = rtm.queue_length_arrays(rps_p, d_cpu, g_cpu, interval_s)
-
-    # 7. Power and energy cost per PM (constraint 3).
-    counts = np.bincount(seg_arr, minlength=n_pms)
-    cpu_sums = np.bincount(seg_arr, weights=used_cpu, minlength=n_pms)
-    pm_cpu = np.minimum(dm.pm_cpu_batch(counts, cpu_sums),
-                        fleet.pm_cap_cpu)
-    on = np.fromiter((pm.on for pm in fleet.pms), dtype=bool, count=n_pms)
-    watts = np.empty(n_pms)
-    for model, ix in fleet.power_groups:
-        watts[ix] = model.facility_watts(pm_cpu[ix])
-    watts = np.where(on, watts, 0.0)
-    energy_wh = watts * interval_s / 3600.0
-    prices = np.array([dc.energy_price_eur_kwh
-                       for dc in system.datacenters])[fleet.pm_loc]
-    energy_cost = energy_wh / 1000.0 * prices
-
-    profit = ProfitBreakdown(
-        revenue_eur=float(revenue.sum()),
-        migration_penalty_eur=penalty_total,
-        energy_cost_eur=float(energy_cost.sum()))
-
-    # 8. Write state back and box the per-VM / per-PM statistics once,
-    # straight from the result arrays.
-    vm_ids = fleet.vm_ids
-    vm_rows = fleet.vm_rows
-    rt_rows_l = rt_rows.tolist()
-    req_cpu_l, req_mem_l, req_bw_l = (req_cpu.tolist(), req_mem.tolist(),
-                                      req_bw.tolist())
-    last_demands: Dict[str, Resources] = {}
-    vm_stats: Dict[str, VMIntervalStats] = {}
-    rps_l, bpr_l, cpr_l = rps.tolist(), bpr.tolist(), cpr.tolist()
-    g_cpu_l, g_mem_l, g_bw_l = g_cpu.tolist(), g_mem.tolist(), g_bw.tolist()
-    proc_rt_l = proc_rt.tolist()
-    sla_process_l, sla_raw_l, sla_l = (sla_process.tolist(),
-                                       sla_raw.tolist(), sla.tolist())
-    frac_l, revenue_l = frac.tolist(), revenue.tolist()
-    queue_l = queue_p.tolist()
-
-    pos = 0
-    for i, pm in enumerate(fleet.pms):
-        ids = pm_vm_lists[i]
-        if ids is None:
-            continue
-        location = fleet.pm_loc_names[i]
-        pm_id = pm.pm_id
-        granted: Dict[str, Resources] = {}
-        for vm_id in ids:
-            j = placed[pos]
-            required = Resources(req_cpu_l[j], req_mem_l[j], req_bw_l[j])
-            given = Resources(g_cpu_l[pos], g_mem_l[pos], g_bw_l[pos])
-            granted[vm_id] = given
-            last_demands[vm_id] = required
-            vm_stats[vm_id] = VMIntervalStats(
-                vm_id=vm_id, pm_id=pm_id, location=location,
-                load=LoadVector(rps_l[j], bpr_l[j], cpr_l[j]),
-                required=required, given=given,
-                process_rt_s=proc_rt_l[j],
-                rt_by_source={src: rt_rows_l[r]
-                              for r, src in vm_rows[j]},
-                sla_process=sla_process_l[j], sla_raw=sla_raw_l[j],
-                sla=sla_l[j], blackout_fraction=frac_l[j],
-                queue_len=queue_l[pos], revenue_eur=revenue_l[j])
-            pos += 1
-        # The joint grants respect capacity by construction (the allocator
-        # never hands out more than the host), so bypass regrant_all's
-        # re-validation and swap the mapping atomically.
-        pm.granted = granted
-    system.last_demands = last_demands
-
-    # Unplaced-but-traced VMs: fully unavailable, SLA 0, no revenue.
-    # Unplaced *and* untraced VMs are invisible, as in the scalar loop.
-    traced_mask = fleet.traced_mask
-    for j, vm_id in enumerate(vm_ids):
-        if placed_mask[j] or not traced_mask[j]:
-            continue
-        vm_stats[vm_id] = VMIntervalStats(
-            vm_id=vm_id, pm_id="", location="",
-            load=LoadVector(rps_l[j], bpr_l[j], cpr_l[j]),
-            required=Resources(req_cpu_l[j], req_mem_l[j], req_bw_l[j]),
-            given=_NO_GRANT, process_rt_s=rt_cap,
-            rt_by_source={src: rt_cap for _r, src in vm_rows[j]},
-            sla_process=0.0, sla_raw=0.0, sla=0.0,
-            blackout_fraction=1.0, queue_len=0.0, revenue_eur=0.0)
-
-    pm_cpu_l, watts_l = pm_cpu.tolist(), watts.tolist()
-    wh_l, cost_l = energy_wh.tolist(), energy_cost.tolist()
-    sums_l, counts_l = cpu_sums.tolist(), counts.tolist()
-    on_l = on.tolist()
-    pm_stats: Dict[str, PMIntervalStats] = {}
-    for i, pm in enumerate(fleet.pms):
-        pm_stats[pm.pm_id] = PMIntervalStats(
-            pm_id=pm.pm_id, location=fleet.pm_loc_names[i], on=on_l[i],
-            n_vms=counts_l[i], sum_vm_cpu=sums_l[i], pm_cpu=pm_cpu_l[i],
-            facility_watts=watts_l[i], energy_wh=wh_l[i],
-            energy_cost_eur=cost_l[i])
-
-    return IntervalReport(t=t, interval_s=interval_s, vms=vm_stats,
-                          pms=pm_stats, migrations=list(migrations),
-                          profit=profit, placement=system.placement())

@@ -105,10 +105,10 @@ class Monitor:
         """Record noisy observations of one interval report.
 
         Works identically on reports from the scalar and the batch
-        stepping path (:mod:`repro.sim.fleet`): both materialize the same
-        per-VM/per-PM statistics in the same order, so harvested training
-        sets — and the RNG draws behind their noise — do not depend on
-        which path produced the run.
+        stepping path (:mod:`repro.sim.sharding`): both materialize the
+        same per-VM/per-PM statistics in the same order, so harvested
+        training sets — and the RNG draws behind their noise — do not
+        depend on which path produced the run.
         """
         for vm_id, s in report.vms.items():
             if not s.pm_id:

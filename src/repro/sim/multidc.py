@@ -323,7 +323,7 @@ class MultiDCSystem:
     #: schedulers use these to seed host views with out-of-scope VM demands.
     last_demands: Dict[str, Resources] = field(default_factory=dict)
     #: Cached :class:`repro.sim.fleet.FleetState` for the batch stepping
-    #: path, keyed by the trace it was built from (see fleet.py).
+    #: and round-scoring paths, keyed by the trace it was built from.
     _fleet_cache: Optional[object] = field(default=None, repr=False,
                                            compare=False)
     #: Cached :class:`repro.sim.sharding.ShardedFleet` facade (per-DC
@@ -506,17 +506,20 @@ class MultiDCSystem:
         """Play interval ``t`` of the trace against the current placement.
 
         With ``batch=True`` (the default) the interval is computed by the
-        array-backed stepping path (:mod:`repro.sim.fleet`): demands, the
-        proportional sharing, response times, SLA, power and the money
-        flows are evaluated as aligned numpy arrays over the whole fleet,
-        reusing a cached :class:`~repro.sim.fleet.FleetState` snapshot of
-        the trace.  ``batch=False`` runs the original per-VM reference
-        loop.  The two agree within 1e-9 on every
-        :class:`IntervalReport` field (differential tests enforce it).
+        per-DC array stepper
+        (:meth:`repro.sim.sharding.ShardedFleet.step_report`): demands,
+        the proportional sharing, response times, SLA, power and the
+        money flows are evaluated as aligned numpy arrays, one
+        datacenter shard at a time, over a cached
+        :class:`~repro.sim.fleet.FleetState` snapshot of the trace.
+        ``batch=False`` runs the per-VM scalar reference loop.  The two
+        agree within 1e-9 on every :class:`IntervalReport` field
+        (differential tests enforce it).
         """
         if batch:
-            from .fleet import fleet_step
-            return fleet_step(self, trace, t, migrations=migrations)
+            from .sharding import ShardedFleet  # deferred: it imports us
+            return ShardedFleet.for_system(self, trace).step_report(
+                trace, t, migrations=migrations)
         return self._step_scalar(trace, t, migrations=migrations)
 
     def _step_scalar(self, trace: WorkloadTrace, t: int,

@@ -1,30 +1,26 @@
 """Per-DC sharded interval stepping behind a :class:`ShardedFleet` facade.
 
-:func:`~repro.sim.fleet.fleet_step` plays one interval as fleet-wide arrays;
-at 50–100k VMs the arrays themselves are fine, but the monolithic path still
-materializes O(n_vms) boxed per-VM statistics into every
-:class:`~repro.sim.multidc.IntervalReport`, so run memory grows linearly in
-horizon length.  This module splits the step along the natural physics
-boundary — **nothing in an interval couples VMs across datacenters** (grants
-are per-host, response times per VM, power per PM, tariffs per DC) — into
-per-DC shards:
+This is the repository's one array stepper: ``MultiDCSystem.step(batch=True)``
+and the streamed KPI runs both play intervals through it.  It splits the
+step along the natural physics boundary — **nothing in an interval couples
+VMs across datacenters** (grants are per-host, response times per VM, power
+per PM, tariffs per DC) — into per-DC shards:
 
 * :class:`FleetShard` is a contiguous ``[lo, hi)`` PM slice of the global
   :class:`~repro.sim.fleet.FleetState` (PM arrays are laid out in
   datacenter order, so shard slicing is free).
 * :meth:`ShardedFleet.step_report` computes each shard independently and
-  merges the shard-local statistics into the same
-  :class:`~repro.sim.multidc.IntervalReport` the monolithic path returns —
-  the parity mode, pinned within 1e-9 of :func:`fleet_step` by differential
-  tests (per-VM values are computed by the same elementwise kernels on the
-  same rows, so only cross-shard *reduction sums* can differ, in the last
-  bits).
+  merges the shard-local statistics into one
+  :class:`~repro.sim.multidc.IntervalReport` — the report mode, pinned
+  within 1e-9 of the scalar reference (``step(batch=False)``) by
+  differential tests.
 * :meth:`ShardedFleet.step_metrics` is the bounded-memory mode: it performs
   the same per-shard physics but reduces each shard straight to a
   constant-size :class:`ShardMetrics` record and returns one
   :class:`~repro.sim.metrics.IntervalMetrics` — no per-VM boxing at all.
   Combined with a disk :class:`~repro.sim.metrics.MetricsSink`, peak memory
-  stays flat in horizon length.
+  stays flat in horizon length, where a kept report holds O(n_vms) boxed
+  per-VM statistics per interval.
 
 Both modes preserve the stepping side-effects schedulers depend on
 (``pm.granted`` swaps, ``system.last_demands``, blackout consumption), so a
@@ -45,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .demand import LoadVector
-from .fleet import FleetState, _NO_GRANT
+from .fleet import FleetState
 from .machines import Resources
 from .metrics import IntervalMetrics
 from .multidc import (IntervalReport, MigrationEvent, MultiDCSystem,
@@ -56,6 +52,9 @@ from ..core.sla import sla_fulfillment
 from ..workload.traces import WorkloadTrace
 
 __all__ = ["FleetShard", "ShardMetrics", "ShardedFleet"]
+
+#: Shared empty grant for unplaced VMs (Resources is frozen, safe to share).
+_NO_GRANT = Resources()
 
 
 class FleetShard:
@@ -77,9 +76,6 @@ class FleetShard:
                 # like the fleet snapshot arrays they were sliced from.
                 sub.setflags(write=False)
                 self.power_groups.append((model, sub))
-
-    def pm_ids(self, fleet: FleetState) -> List[str]:
-        return [pm.pm_id for pm in fleet.pms[self.lo:self.hi]]
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ class ShardedFleet:
     def step_report(self, trace: WorkloadTrace, t: int,
                     migrations: Optional[List[MigrationEvent]] = None
                     ) -> IntervalReport:
-        """Sharded step, full report (the parity/diagnostic mode)."""
+        """Sharded step, full report (``MultiDCSystem.step(batch=True)``)."""
         return self._step(trace, t, migrations, build_report=True)
 
     def step_metrics(self, trace: WorkloadTrace, t: int,
@@ -171,7 +167,8 @@ class ShardedFleet:
         n_vms = len(fleet.vm_ids)
         vm_index = fleet.vm_index
 
-        # Pass A - placement walk per shard (same PM order as fleet_step).
+        # Pass A - placement walk per shard, in datacenter PM order (the
+        # scalar reference's order).
         placed_mask = np.zeros(n_vms, dtype=bool)
         vm_shard = np.full(n_vms, -1, dtype=np.intp)
         shard_placed: List[np.ndarray] = []
@@ -203,8 +200,8 @@ class ShardedFleet:
             shard_seg.append(np.asarray(seg, dtype=np.intp))
             shard_vm_lists.append(pm_vm_lists)
 
-        # Blackouts: consume pending seconds for placed VMs, in pending
-        # order (as fleet_step does), attributing the penalty to the
+        # Blackouts: consume pending seconds for placed VMs only (orphans
+        # keep theirs until re-placed), attributing the penalty to the
         # consuming VM's shard.
         frac = np.zeros(n_vms)
         shard_penalty = np.zeros(max(len(self.shards), 1))
@@ -232,6 +229,16 @@ class ShardedFleet:
         series_vm = fleet.series_vm
         proc_col = np.empty(n_vms)
         in_shard = np.zeros(n_vms, dtype=bool)
+        if build_report:
+            # Fleet-wide columns the report is boxed from after the shard
+            # loop, each filled shard by shard (per-VM, and per series row
+            # for the per-source response times).
+            rt_rows = np.empty(len(series_vm))
+            sla_process_col = np.empty(n_vms)
+            sla_raw_col = np.empty(n_vms)
+            sla_col = np.empty(n_vms)
+            queue_col = np.empty(n_vms)
+            revenue_col = np.empty(n_vms)
 
         last_demands: Dict[str, Resources] = {}
         shard_metrics: List[ShardMetrics] = []
@@ -245,8 +252,8 @@ class ShardedFleet:
             lo, hi = shard.lo, shard.hi
             n_local = shard.n_pms
 
-            # Demands (constraint 5.1), uncapped — elementwise, so batching
-            # only this shard's VMs matches the fleet-wide batch bit-for-bit.
+            # Demands (constraint 5.1), deliberately uncapped so overload
+            # registers as stress > 1 — as in the scalar reference.
             req_cpu, req_mem, req_bw = dm.required_batch(
                 rps[placed_idx], bpr[placed_idx], cpr[placed_idx],
                 fleet.base_mem[placed_idx], cpu_cap=float("inf"))
@@ -314,58 +321,34 @@ class ShardedFleet:
             energy_cost = energy_wh / 1000.0 * price_kwh
 
             # Write state back: granted swaps + observed demands, exactly
-            # like the monolithic step.
+            # like the scalar reference.
             g_cpu_l, g_mem_l, g_bw_l = (g_cpu.tolist(), g_mem.tolist(),
                                         g_bw.tolist())
             req_cpu_l, req_mem_l, req_bw_l = (req_cpu.tolist(),
                                               req_mem.tolist(),
                                               req_bw.tolist())
-            placed_l = placed_idx.tolist()
-            if build_report:
-                rt_map = dict(zip(row_idx.tolist(), rt_vals.tolist()))
-                queue_p = rtm.queue_length_arrays(rps_p, req_cpu, g_cpu,
-                                                  interval_s)
-                queue_l = queue_p.tolist()
-                proc_rt_l = proc_rt_p.tolist()
-                sla_raw_l, sla_l = sla_raw_p.tolist(), sla_p.tolist()
-                sla_process_l = sla_fulfillment(
-                    proc_rt_p, fleet.rt0[placed_idx],
-                    fleet.alpha[placed_idx]).tolist()
-                revenue_l = revenue_p.tolist()
             pos = 0
-            vm_rows = fleet.vm_rows
-            for k in range(n_local):
-                ids = shard_vm_lists[si][k]
+            for k, ids in enumerate(shard_vm_lists[si]):
                 if ids is None:
                     continue
-                pm = fleet.pms[lo + k]
                 granted: Dict[str, Resources] = {}
                 for vm_id in ids:
-                    j = placed_l[pos]
-                    required = Resources(req_cpu_l[pos], req_mem_l[pos],
-                                         req_bw_l[pos])
-                    given = Resources(g_cpu_l[pos], g_mem_l[pos],
-                                      g_bw_l[pos])
-                    granted[vm_id] = given
-                    last_demands[vm_id] = required
-                    if build_report:
-                        vm_stats[vm_id] = VMIntervalStats(
-                            vm_id=vm_id, pm_id=pm.pm_id,
-                            location=shard.location,
-                            load=LoadVector(float(rps[j]), float(bpr[j]),
-                                            float(cpr[j])),
-                            required=required, given=given,
-                            process_rt_s=proc_rt_l[pos],
-                            rt_by_source={src: rt_map[r]
-                                          for r, src in vm_rows[j]},
-                            sla_process=sla_process_l[pos],
-                            sla_raw=sla_raw_l[pos], sla=sla_l[pos],
-                            blackout_fraction=float(frac[j]),
-                            queue_len=queue_l[pos],
-                            revenue_eur=revenue_l[pos])
+                    granted[vm_id] = Resources(g_cpu_l[pos], g_mem_l[pos],
+                                               g_bw_l[pos])
+                    last_demands[vm_id] = Resources(
+                        req_cpu_l[pos], req_mem_l[pos], req_bw_l[pos])
                     pos += 1
-                pm.granted = granted
+                fleet.pms[lo + k].granted = granted
             if build_report:
+                rt_rows[row_idx] = rt_vals
+                sla_process_col[placed_idx] = sla_fulfillment(
+                    proc_rt_p, fleet.rt0[placed_idx],
+                    fleet.alpha[placed_idx])
+                sla_raw_col[placed_idx] = sla_raw_p
+                sla_col[placed_idx] = sla_p
+                queue_col[placed_idx] = rtm.queue_length_arrays(
+                    rps_p, req_cpu, g_cpu, interval_s)
+                revenue_col[placed_idx] = revenue_p
                 on_l = on.tolist()
                 counts_l, sums_l = counts.tolist(), cpu_sums.tolist()
                 pm_cpu_l, watts_l = pm_cpu.tolist(), watts.tolist()
@@ -381,7 +364,7 @@ class ShardedFleet:
 
             shard_metrics.append(ShardMetrics(
                 location=shard.location, n_pms=n_local,
-                n_placed=len(placed_l),
+                n_placed=len(placed_idx),
                 sla_sum=float(sla_p.sum()),
                 rps_sum=float(rps_p.sum()),
                 revenue_eur=float(revenue_p.sum()),
@@ -409,6 +392,41 @@ class ShardedFleet:
         cost_total = sum(s.energy_cost_eur for s in shard_metrics)
 
         if build_report:
+            # Pass C - box the per-VM statistics once, straight from the
+            # fleet-wide columns, in placement-walk order.
+            vm_rows = fleet.vm_rows
+            rt_l = rt_rows.tolist()
+            rps_l, bpr_l, cpr_l = rps.tolist(), bpr.tolist(), cpr.tolist()
+            proc_l, frac_l = proc_col.tolist(), frac.tolist()
+            sla_process_l, sla_raw_l, sla_l = (sla_process_col.tolist(),
+                                               sla_raw_col.tolist(),
+                                               sla_col.tolist())
+            queue_l, revenue_l = queue_col.tolist(), revenue_col.tolist()
+            for si, shard in enumerate(self.shards):
+                for k, ids in enumerate(shard_vm_lists[si]):
+                    if ids is None:
+                        continue
+                    pm = fleet.pms[shard.lo + k]
+                    granted = pm.granted
+                    for vm_id in ids:
+                        j = vm_index[vm_id]
+                        vm_stats[vm_id] = VMIntervalStats(
+                            vm_id=vm_id, pm_id=pm.pm_id,
+                            location=shard.location,
+                            load=LoadVector(rps_l[j], bpr_l[j], cpr_l[j]),
+                            required=last_demands[vm_id],
+                            given=granted[vm_id],
+                            process_rt_s=proc_l[j],
+                            rt_by_source={src: rt_l[r]
+                                          for r, src in vm_rows[j]},
+                            sla_process=sla_process_l[j],
+                            sla_raw=sla_raw_l[j], sla=sla_l[j],
+                            blackout_fraction=frac_l[j],
+                            queue_len=queue_l[j], revenue_eur=revenue_l[j])
+
+            # Unplaced-but-traced VMs: fully unavailable, SLA 0, no
+            # revenue.  Unplaced *and* untraced VMs are invisible, as in
+            # the scalar reference.
             if len(unplaced_idx):
                 u_cpu, u_mem, u_bw = dm.required_batch(
                     rps[unplaced_idx], bpr[unplaced_idx], cpr[unplaced_idx],
@@ -419,13 +437,12 @@ class ShardedFleet:
                     vm_id = fleet.vm_ids[j]
                     vm_stats[vm_id] = VMIntervalStats(
                         vm_id=vm_id, pm_id="", location="",
-                        load=LoadVector(float(rps[j]), float(bpr[j]),
-                                        float(cpr[j])),
+                        load=LoadVector(rps_l[j], bpr_l[j], cpr_l[j]),
                         required=Resources(u_cpu_l[p], u_mem_l[p],
                                            u_bw_l[p]),
                         given=_NO_GRANT, process_rt_s=rt_cap,
                         rt_by_source={src: rt_cap
-                                      for _r, src in fleet.vm_rows[j]},
+                                      for _r, src in vm_rows[j]},
                         sla_process=0.0, sla_raw=0.0, sla=0.0,
                         blackout_fraction=1.0, queue_len=0.0,
                         revenue_eur=0.0)

@@ -3,9 +3,9 @@
 PR-8 acceptance: for every catalog scenario, running with disk sinks
 (``keep_reports=False``, per-interval reports dropped after feeding the
 sink) must be *indistinguishable* from the in-memory run at the KPI
-level — identical KPI dicts (bit-identical for monolithic variants; the
-1e-9 contract for sharded ones, whose cross-shard reduction sums in a
-different order), identical per-interval series, and ``scenarios
+level — identical KPI dicts (bit-identical for report-building variants;
+the 1e-9 contract for sharded ones, whose KPI-only streamed step sums
+shard by shard), identical per-interval series, and ``scenarios
 diff``-clean ``--json`` artifacts.
 
 Every variant-bearing scenario in the registry is exercised; heavy
@@ -114,10 +114,10 @@ class TestKpiParity:
             b = {k: v for k, v in streamed.variant(vname).kpis().items()
                  if k not in TIMING_KEYS}
             if vname in sharded:
-                # Sharded stepping reduces shard-locally then sums across
-                # shards — a different summation order than the
-                # monolithic report path, hence the 1e-9 contract rather
-                # than bit-equality.
+                # KPI-only stepping reduces shard-locally then sums across
+                # shards — a different summation order than reducing the
+                # full report, hence the 1e-9 contract rather than
+                # bit-equality.
                 assert set(a) == set(b)
                 for k in a:
                     assert a[k] == pytest.approx(b[k], rel=1e-9,

@@ -19,7 +19,7 @@ from repro.experiments.scenario import (ScenarioConfig, multidc_system,
                                         multidc_trace)
 from repro.sim.datacenter import PAPER_ENERGY_PRICES, build_datacenter
 from repro.sim.engine import run_simulation
-from repro.sim.fleet import FleetState, fleet_step, report_max_abs_diff
+from repro.sim.fleet import FleetState, report_max_abs_diff
 from repro.sim.machines import Resources, VirtualMachine
 from repro.sim.multidc import MultiDCSystem
 from repro.sim.network import paper_network_model
@@ -29,12 +29,18 @@ from repro.workload.traces import SourceSeries, WorkloadTrace
 TOL = 1e-9
 
 
-def make_pair(n_vms=12, pms_per_dc=2, n_dcs=3, T=5, seed=0, rps_hi=30.0):
-    """Two identical (system, trace) pairs for side-by-side stepping."""
+def make_pair(n_vms=12, pms_per_dc=2, n_dcs=3, T=5, seed=0, rps_hi=30.0,
+              pm_counts=None):
+    """Two identical (system, trace) pairs for side-by-side stepping.
+
+    ``pm_counts`` optionally gives each DC its own PM count (one entry per
+    DC, overriding ``pms_per_dc``); a 0 entry builds a zero-PM datacenter.
+    """
     def build():
         rng = np.random.default_rng(seed)
         locs = ["BCN", "BST", "BNG", "BRS"][:n_dcs]
-        dcs = [build_datacenter(loc, pms_per_dc) for loc in locs]
+        counts = pm_counts or [pms_per_dc] * len(locs)
+        dcs = [build_datacenter(loc, n) for loc, n in zip(locs, counts)]
         vms = {f"vm{i}": VirtualMachine(vm_id=f"vm{i}")
                for i in range(n_vms)}
         system = MultiDCSystem(
@@ -157,6 +163,19 @@ class TestStepEquivalence:
         rb = sb.step(trace, 0, batch=True)
         assert rb.pms["BST-pm0"].facility_watts == 0.0
         assert report_max_abs_diff(ra, rb) < TOL
+
+    def test_zero_pm_datacenter(self):
+        """A DC with no PMs is an empty shard that hosts nothing but is
+        still a traffic source for VMs hosted elsewhere."""
+        (sa, trace), (sb, _) = make_pair(pm_counts=[2, 0, 2], T=3)
+        deploy_round_robin(sa)
+        deploy_round_robin(sb)
+        for t in range(trace.n_intervals):
+            ra = sa.step(trace, t, batch=False)
+            rb = sb.step(trace, t, batch=True)
+            assert report_max_abs_diff(ra, rb) < TOL
+        assert any("BST" in v.rt_by_source for v in rb.vms.values())
+        assert_states_match(sa, sb)
 
     def test_placed_vm_without_series_zero_load(self):
         """Pinned semantic: a placed-but-untraced VM carries zero load.
@@ -293,11 +312,3 @@ class TestFleetState:
                     agg.bytes_per_req, abs=1e-12)
                 assert fleet.agg_cpr[j, t] == pytest.approx(
                     agg.cpu_time_per_req, abs=1e-12)
-
-    def test_direct_fleet_step_equals_method(self):
-        (sa, trace), (sb, _) = make_pair()
-        deploy_round_robin(sa)
-        deploy_round_robin(sb)
-        ra = fleet_step(sa, trace, 0)
-        rb = sb.step(trace, 0, batch=True)
-        assert report_max_abs_diff(ra, rb) < TOL

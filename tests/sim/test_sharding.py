@@ -1,14 +1,15 @@
-"""Differential tests: sharded per-DC stepping vs the monolithic path.
+"""Differential tests: the per-DC sharded stepper vs the scalar reference.
 
 The contract extends the PR 2 batch/scalar one: ``ShardedFleet.step_report``
-reproduces ``system.step(batch=True)`` within 1e-9 on every
-:class:`~repro.sim.multidc.IntervalReport` field, ``step_metrics`` reproduces
-the in-memory reduction :func:`repro.sim.metrics.metrics_of` within 1e-9,
-both leave the system in an equivalent state (grants, ``last_demands``,
-pending blackouts), and the per-shard reductions obey the cross-shard
-conservation laws (:func:`repro.arena.invariants.check_shard_conservation`)
-— including on empty shards (zero-VM DCs after failures or skewed fleet
-mixes).
+— the stepper behind ``system.step(batch=True)`` — reproduces the scalar
+reference ``system.step(batch=False)`` within 1e-9 on every
+:class:`~repro.sim.multidc.IntervalReport` field, ``step_metrics``
+reproduces the in-memory reduction :func:`repro.sim.metrics.metrics_of` of
+the scalar report within 1e-9, both leave the system in an equivalent state
+(grants, ``last_demands``, pending blackouts), and the per-shard reductions
+obey the cross-shard conservation laws
+(:func:`repro.arena.invariants.check_shard_conservation`) — including on
+empty shards (zero-VM DCs after failures or skewed fleet mixes).
 """
 
 import dataclasses
@@ -89,7 +90,7 @@ class TestStepReportParity:
         (sa, trace), (sb, _) = make_pair()
         deploy_round_robin(sa)
         deploy_round_robin(sb)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0, batch=False)
         rb = ShardedFleet.for_system(sb, trace).step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         assert_system_states_match(sa, sb, tol=TOL)
@@ -100,7 +101,7 @@ class TestStepReportParity:
         deploy_round_robin(sb)
         shf = ShardedFleet.for_system(sb, trace)
         for t in range(trace.n_intervals):
-            ra = sa.step(trace, t, batch=True)
+            ra = sa.step(trace, t, batch=False)
             rb = shf.step_report(trace, t)
             assert report_max_abs_diff(ra, rb) < TOL
         assert_system_states_match(sa, sb, tol=TOL)
@@ -113,7 +114,7 @@ class TestStepReportParity:
                 pm = [p for dc in sa.datacenters for p in dc.pms][i % 8]
                 sa.deploy(vm_id, pm.pm_id)
                 sb.deploy(vm_id, pm.pm_id)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0, batch=False)
         rb = ShardedFleet.for_system(sb, trace).step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         unplaced = [v for v in rb.vms.values() if not v.pm_id]
@@ -129,7 +130,7 @@ class TestStepReportParity:
         moves = {vm_id: target for vm_id in list(sa.vms)[:4]}
         ma = sa.apply_schedule(moves)
         mb = sb.apply_schedule(moves)
-        ra = sa.step(trace, 0, migrations=ma, batch=True)
+        ra = sa.step(trace, 0, migrations=ma, batch=False)
         rb = ShardedFleet.for_system(sb, trace).step_report(
             trace, 0, migrations=mb)
         assert ra.profit.migration_penalty_eur > 0
@@ -144,19 +145,19 @@ class TestStepReportParity:
             for dc in s.datacenters[1:]:
                 for pm in dc.pms:
                     pm.set_power(False)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0, batch=False)
         rb = ShardedFleet.for_system(sb, trace).step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
 
 
 class TestStepMetricsParity:
-    def test_metrics_match_monolithic_reduction(self):
+    def test_metrics_match_scalar_reduction(self):
         (sa, trace), (sb, _) = make_pair(T=6, seed=7)
         deploy_round_robin(sa)
         deploy_round_robin(sb)
         shf = ShardedFleet.for_system(sb, trace)
         for t in range(trace.n_intervals):
-            expected = metrics_of(sa.step(trace, t, batch=True))
+            expected = metrics_of(sa.step(trace, t, batch=False))
             got = shf.step_metrics(trace, t)
             assert_metrics_close(got, expected)
         # KPI-only mode still performs the full state writeback.
@@ -186,7 +187,7 @@ class TestStepMetricsParity:
 
 
 class TestScheduledRunsWithFailures:
-    def run_pair(self, sharded):
+    def run_pair(self, sharded, batch=True):
         (system, trace), _ = make_pair(n_vms=16, T=6, seed=13)
         deploy_round_robin(system)
         scheduler = HierarchicalScheduler(estimator=OracleEstimator(),
@@ -195,13 +196,14 @@ class TestScheduledRunsWithFailures:
                                    fail_prob_per_interval=0.2,
                                    repair_intervals=2, max_down=2)
         return run_simulation(system, trace, scheduler=scheduler,
-                              failure_injector=injector, sharded=sharded)
+                              failure_injector=injector, sharded=sharded,
+                              batch=batch)
 
-    def test_full_run_matches_monolithic(self):
-        mono = self.run_pair(sharded=False)
+    def test_full_run_matches_scalar(self):
+        ref = self.run_pair(sharded=False, batch=False)
         shard = self.run_pair(sharded=True)
-        assert len(mono) == len(shard)
-        for ra, rb in zip(mono.reports, shard.reports):
+        assert len(ref) == len(shard)
+        for ra, rb in zip(ref.reports, shard.reports):
             assert ra.placement == rb.placement
             assert report_max_abs_diff(ra, rb) < TOL
 
@@ -220,7 +222,7 @@ class TestEmptyShards:
         deploy_skewed(sa)
         deploy_skewed(sb)
         shf = ShardedFleet.for_system(sb, trace)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0, batch=False)
         rb = shf.step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         empty = [s for s in shf.last_shard_metrics if s.n_placed == 0]
@@ -235,12 +237,12 @@ class TestEmptyShards:
         deploy_skewed(sb)
         shf = ShardedFleet.for_system(sb, trace)
         m = shf.step_metrics(trace, 0)
-        assert_metrics_close(m, metrics_of(sa.step(trace, 0, batch=True)))
+        assert_metrics_close(m, metrics_of(sa.step(trace, 0, batch=False)))
         assert_shard_conservation(shf, m)
 
     def test_nothing_placed_at_all(self):
         (sa, trace), (sb, _) = make_pair()
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0, batch=False)
         shf = ShardedFleet.for_system(sb, trace)
         rb = shf.step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
@@ -320,7 +322,7 @@ class TestFacadeCache:
         deploy_round_robin(sb)
         stale = ShardedFleet.for_system(sb, trace)
         scaled = trace.scaled(1.7)
-        ra = sa.step(scaled, 0, batch=True)
+        ra = sa.step(scaled, 0, batch=False)
         rb = stale.step_report(scaled, 0)
         assert report_max_abs_diff(ra, rb) < TOL
 
